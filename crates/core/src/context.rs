@@ -129,7 +129,7 @@ impl ExecContext {
 
     /// Start journaling overlay writes for one transaction so a mid-block
     /// failure can be undone without poisoning the whole batch (the
-    /// lenient server-side execution path of `confide-net`).
+    /// parallel block executor's per-transaction journal).
     pub fn begin_tx(&mut self) {
         self.journal.clear();
         self.rw = RwSet::default();

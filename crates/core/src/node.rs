@@ -151,29 +151,10 @@ pub struct BlockResult {
     pub totals: OpCounters,
 }
 
-/// Outcome of one transaction under lenient execution: the plaintext
-/// receipt plus the sealed receipt (confidential only), or the engine
-/// error that evicted the transaction from the block.
+/// Outcome of one transaction in a block executed by the parallel
+/// executor: the plaintext receipt plus the sealed receipt (confidential
+/// only), or the engine error that evicted the transaction from the block.
 pub type TxOutcome = Result<(Receipt, Option<Vec<u8>>), EngineError>;
-
-/// Result of executing one block leniently: per-transaction outcomes
-/// instead of first-failure-poisons-the-batch semantics.
-#[derive(Debug)]
-pub struct LenientBlockResult {
-    /// The appended block (contains only the accepted transactions).
-    pub block: Block,
-    /// One entry per *input* transaction, in submission order.
-    pub outcomes: Vec<TxOutcome>,
-    /// Aggregate counters over the accepted transactions.
-    pub totals: OpCounters,
-}
-
-impl LenientBlockResult {
-    /// Number of transactions that made it into the block.
-    pub fn accepted(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.is_ok()).count()
-    }
-}
 
 /// How the parallel block executor derives its conflict groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -804,56 +785,10 @@ impl ConfideNode {
         })
     }
 
-    /// Execute a block of transactions **leniently**: a transaction that
-    /// fails (replay, bad envelope, unknown contract, …) is rolled back
-    /// via the [`ExecContext`] journal and *excluded* from the block
-    /// instead of aborting the whole batch. This is the server-side batch
-    /// submit path of `confide-net`, where one malicious client must not
-    /// be able to poison a block shared with honest traffic.
-    ///
-    /// A block is committed even when every transaction fails (matching
-    /// the production habit of sealing empty blocks on a timer); only
-    /// commit-level failures return `Err`.
-    pub fn execute_block_lenient(
-        &mut self,
-        txs: &[WireTx],
-    ) -> Result<LenientBlockResult, NodeError> {
-        let mut pub_ctx = ExecContext::new();
-        let mut conf_ctx = ExecContext::new();
-        let mut outcomes = Vec::with_capacity(txs.len());
-        let mut accepted_bytes = Vec::new();
-        let mut totals = OpCounters::default();
-        for tx in txs {
-            let (engine, ctx) = match tx {
-                WireTx::Public(_) => (&self.public_engine, &mut pub_ctx),
-                WireTx::Confidential(_) => (&self.confidential_engine, &mut conf_ctx),
-            };
-            ctx.begin_tx();
-            match engine.execute_transaction(&self.state, ctx, tx, &mut self.rng) {
-                Ok((receipt, sealed, stats)) => {
-                    ctx.commit_tx();
-                    totals.add(&stats.counters);
-                    accepted_bytes.push(tx.encode());
-                    outcomes.push(Ok((receipt, sealed)));
-                }
-                Err(e) => {
-                    ctx.rollback_tx();
-                    outcomes.push(Err(e));
-                }
-            }
-        }
-        let block = self.seal_lenient_block(pub_ctx, conf_ctx, &outcomes, accepted_bytes)?;
-        Ok(LenientBlockResult {
-            block,
-            outcomes,
-            totals,
-        })
-    }
-
-    /// Shared commit tail for the lenient executors: seal both engines'
-    /// overlays, persist receipts, apply the batch, and append the block
-    /// (containing only the accepted transactions' bytes).
-    fn seal_lenient_block(
+    /// Shared commit tail of the parallel executor's paths: seal both
+    /// engines' overlays, persist receipts, apply the batch, and append
+    /// the block (containing only the accepted transactions' bytes).
+    fn seal_block(
         &mut self,
         mut pub_ctx: ExecContext,
         mut conf_ctx: ExecContext,
@@ -906,6 +841,13 @@ impl ConfideNode {
     /// with lenient per-transaction semantics, committing a state
     /// transition bit-identical to the same call at any other thread
     /// count.
+    ///
+    /// Lenient: a transaction that fails (replay, bad envelope, unknown
+    /// contract, …) is rolled back via the [`ExecContext`] journal and
+    /// *excluded* from the block instead of aborting the whole batch, so
+    /// one malicious client cannot poison a block shared with honest
+    /// traffic. A block is committed even when every transaction fails;
+    /// only commit-level failures return `Err`.
     ///
     /// The pipeline:
     ///
@@ -1088,7 +1030,7 @@ impl ConfideNode {
             }
             outcomes.push(outcome);
         }
-        let block = self.seal_lenient_block(pub_ctx, conf_ctx, &outcomes, accepted_bytes)?;
+        let block = self.seal_block(pub_ctx, conf_ctx, &outcomes, accepted_bytes)?;
         Ok(Some(ParallelBlockResult {
             block,
             outcomes,
@@ -1250,7 +1192,7 @@ impl ConfideNode {
             }
             outcomes.push(outcome);
         }
-        let block = self.seal_lenient_block(pub_ctx, conf_ctx, &outcomes, accepted_bytes)?;
+        let block = self.seal_block(pub_ctx, conf_ctx, &outcomes, accepted_bytes)?;
         Ok(ParallelBlockResult {
             block,
             outcomes,
@@ -1438,11 +1380,11 @@ impl ConfideNode {
         by_group
     }
 
-    /// Deterministic serial fallback of the parallel executor: the
-    /// lenient per-transaction loop, but sealing receipts with the same
-    /// per-transaction `(height, wire_hash)` RNG the parallel phases use,
-    /// so a block that falls back commits identically on every replica
-    /// and at every thread count.
+    /// Deterministic serial fallback of the parallel executor: one
+    /// journaled pass over the block in submission order, sealing
+    /// receipts with the same per-transaction `(height, wire_hash)` RNG
+    /// the parallel phases use, so a block that falls back commits
+    /// identically on every replica and at every thread count.
     fn execute_serial_equivalent(
         &mut self,
         txs: &[WireTx],
@@ -1478,7 +1420,7 @@ impl ConfideNode {
                 }
             }
         }
-        let block = self.seal_lenient_block(pub_ctx, conf_ctx, &outcomes, accepted_bytes)?;
+        let block = self.seal_block(pub_ctx, conf_ctx, &outcomes, accepted_bytes)?;
         Ok(ParallelBlockResult {
             block,
             outcomes,
@@ -1724,7 +1666,7 @@ mod tests {
     }
 
     #[test]
-    fn lenient_block_skips_bad_txs_and_matches_clean_replica() {
+    fn parallel_block_skips_bad_txs_and_matches_clean_replica() {
         let (mut a, mut b) = two_nodes();
         let code = confide_lang::build_vm(BALANCE_SRC).unwrap();
         let contract = [3u8; 32];
@@ -1744,7 +1686,7 @@ mod tests {
         // Replay of good1: stale nonce.
         let replay = good1.clone();
         let res = a
-            .execute_block_lenient(&[good1.clone(), bad_contract, replay, good2.clone()])
+            .execute_block_parallel(&[good1.clone(), bad_contract, replay, good2.clone()], 2)
             .unwrap();
         assert_eq!(res.accepted(), 2);
         assert!(res.outcomes[0].is_ok());
@@ -1757,7 +1699,7 @@ mod tests {
         // Only accepted txs are in the block body.
         assert_eq!(res.block.txs.len(), 2);
         // A replica executing just the accepted txs strictly agrees.
-        b.execute_block(&[good1, good2]).unwrap();
+        b.execute_block_parallel(&[good1, good2], 1).unwrap();
         assert_eq!(a.state_root(), b.state_root());
         // Receipt for the first tx stored and owner-decryptable.
         let sealed = a.stored_receipt(&h1).unwrap();
@@ -1765,19 +1707,16 @@ mod tests {
     }
 
     #[test]
-    fn lenient_block_with_all_failures_still_commits_empty_block() {
+    fn parallel_block_with_all_failures_still_commits_empty_block() {
         let (mut a, _) = two_nodes();
         let mut client = ConfideClient::new([1u8; 32], [2u8; 32], 3);
         let (bad, _, _) = client
             .confidential_tx(&a.pk_tx(), [0x99; 32], "main", b"{}")
             .unwrap();
-        let before = a.state_root();
-        let res = a.execute_block_lenient(&[bad]).unwrap();
+        let res = a.execute_block_parallel(&[bad], 2).unwrap();
         assert_eq!(res.accepted(), 0);
         assert!(res.block.txs.is_empty());
         assert_eq!(a.blocks.height(), 1);
-        // No state change beyond the (empty) version bump bookkeeping.
-        let _ = before; // roots may differ only via version metadata
     }
 
     // ── parallel executor (§6.2) ────────────────────────────────────────
@@ -2145,7 +2084,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_parallel_block_commits_like_an_empty_lenient_block() {
+    fn empty_parallel_block_commits() {
         let mut node = fresh_node();
         let res = node.execute_block_parallel(&[], 4).unwrap();
         assert_eq!(res.accepted(), 0);

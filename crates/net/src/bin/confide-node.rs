@@ -13,7 +13,7 @@
 //!
 //! ## Crash-safe lifecycle (`--wal PATH`)
 //!
-//! With `--wal` the batcher fsyncs every block's WAL record group to
+//! With `--wal` the node fsyncs every block's WAL record group to
 //! `PATH` before acknowledging it, and the node's consortium keys are
 //! kept TEE-sealed at `PATH.keys` (SVN-versioned — `--min-svn` refuses
 //! rollback to stale blobs). On restart the process unseals its keys,

@@ -1,6 +1,6 @@
 //! Client SDK: framed transport and the unified pooled client.
 //!
-//! Three layers, outermost first:
+//! Two layers, outermost first:
 //!
 //! * [`Client`] — **the** public client: a connection pool over one or
 //!   more endpoints, optional sealing identity, retry policy, and
@@ -9,8 +9,6 @@
 //! * [`Conn`] — one framed request/response TCP connection; the raw
 //!   protocol surface (used directly by protocol tests and by `Client`
 //!   internally). Returns the wire-level [`NetError`].
-//! * [`Gateway`] and the old connect-style `Client::connect` — the
-//!   pre-unification API, kept as deprecated forwards onto [`Client`].
 //!
 //! The envelope-sealing path is **shared** with the in-process client
 //! ([`confide_core::client::seal_signed_tx`]) so the networked and
@@ -30,9 +28,9 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Wire-level client failures ([`Conn`] and the deprecated [`Gateway`]
-/// surface). The unified [`Client`] wraps these into
-/// [`crate::error::Error`] with a typed kind and preserved source chain.
+/// Wire-level client failures (the [`Conn`] surface). The unified
+/// [`Client`] wraps these into [`crate::error::Error`] with a typed kind
+/// and preserved source chain.
 #[derive(Debug)]
 pub enum NetError {
     /// Transport or framing failure.
@@ -495,9 +493,8 @@ struct SealState {
 
 /// The unified networked client: a bounded connection pool over one or
 /// more endpoints, an optional sealing identity, a retry policy, and
-/// automatic leader-redirect chasing. Replaces the former `Gateway`
-/// (pooling) and connect-style `Client` (sealing) in one surface; build
-/// it with [`ClientConfig`].
+/// automatic leader-redirect chasing, in one surface; build it with
+/// [`ClientConfig`].
 ///
 /// Thread-safe: all methods take `&self`; share one client across
 /// workers via `Arc`.
@@ -813,28 +810,19 @@ impl Client {
     /// a retry of an already-committed transaction with its stored
     /// receipt. Terminal verdicts are returned immediately.
     pub fn submit_with_retry(&self, tx: &WireTx) -> Result<(bool, Vec<u8>), Error> {
-        self.submit_with_retry_net(tx, &self.retry.clone())
-            .map_err(Error::from)
-    }
-
-    fn submit_with_retry_net(
-        &self,
-        tx: &WireTx,
-        policy: &RetryPolicy,
-    ) -> Result<(bool, Vec<u8>), NetError> {
-        let attempts = policy.max_attempts.max(1);
+        let attempts = self.retry.max_attempts.max(1);
         let mut last: Option<NetError> = None;
         for attempt in 0..attempts {
             if attempt > 0 {
                 self.stats
                     .retries
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                std::thread::sleep(policy.backoff(attempt - 1));
+                std::thread::sleep(self.retry.backoff(attempt - 1));
             }
             match self.routed(|c| c.submit_wait(tx)) {
                 Ok(out) => return Ok(out),
                 Err(e) if transient(&e) => last = Some(e),
-                Err(e) => return Err(e),
+                Err(e) => return Err(e.into()),
             }
         }
         self.stats
@@ -843,7 +831,8 @@ impl Client {
         Err(NetError::RetriesExhausted {
             attempts,
             last: Box::new(last.unwrap_or(NetError::Busy)),
-        })
+        }
+        .into())
     }
 
     // ---- sealing API (requires an identity) -------------------------
@@ -906,146 +895,5 @@ impl Client {
         }
         Receipt::open(&receipt_bytes, &k_tx, &tx_hash)
             .map_err(|_| Error::new(ErrorKind::Crypto, "receipt decryption failed"))
-    }
-
-    /// Pre-unification constructor: connect to one endpoint with a
-    /// sealing identity and eagerly fetch `pk_tx`.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use ClientConfig::new().endpoint(..).identity(..).connect()"
-    )]
-    pub fn connect(
-        addr: impl ToSocketAddrs,
-        identity_seed: [u8; 32],
-        root_key: [u8; 32],
-        rng_seed: u64,
-    ) -> Result<Client, NetError> {
-        let addr = addr
-            .to_socket_addrs()
-            .map_err(FrameError::Io)?
-            .next()
-            .ok_or(NetError::Disconnected)?;
-        let cfg = ClientConfig::new()
-            .endpoint(addr)
-            .identity(identity_seed, root_key, rng_seed);
-        let client = Client::build(vec![addr], cfg);
-        // Match the old eager behaviour: fail now if the node is down.
-        let pk = client.routed(|c| c.fetch_pk_tx())?;
-        if let Some(seal) = &client.seal_state {
-            seal.lock().expect("seal lock").pk_tx = Some(pk);
-        }
-        Ok(client)
-    }
-}
-
-/// Pre-unification connection-pooling gateway, now a thin forwarder
-/// onto [`Client`] that keeps the old `NetError` signatures.
-#[deprecated(since = "0.8.0", note = "use Client with ClientConfig")]
-pub struct Gateway {
-    inner: Client,
-}
-
-#[allow(deprecated)]
-impl Gateway {
-    /// Create a gateway to `addr` with a connection cap.
-    pub fn new(addr: impl ToSocketAddrs, max_conns: usize) -> Result<Gateway, NetError> {
-        let addr = addr
-            .to_socket_addrs()
-            .map_err(FrameError::Io)?
-            .next()
-            .ok_or(NetError::Disconnected)?;
-        let cfg = ClientConfig::new()
-            .endpoint(addr)
-            .pool_size(max_conns)
-            // The old gateway never chased redirects; callers matched on
-            // NetError::NotPrimary themselves.
-            .chase_redirects(false);
-        Ok(Gateway {
-            inner: Client::build(vec![addr], cfg),
-        })
-    }
-
-    /// Socket read/write timeout for pooled connections (default 10 s).
-    pub fn set_conn_timeout(&mut self, timeout: Duration) {
-        self.inner.conn_timeout = timeout;
-    }
-
-    /// Cap how long a lease may wait for a pooled connection (default
-    /// 5 s).
-    pub fn set_pool_wait(&mut self, wait: Duration) {
-        self.inner.pool_wait = wait;
-    }
-
-    /// Lifetime retry/redial counters.
-    pub fn retry_stats(&self) -> &RetryStats {
-        self.inner.retry_stats()
-    }
-
-    /// The gateway's upstream address.
-    pub fn addr(&self) -> SocketAddr {
-        self.inner.current_endpoint()
-    }
-
-    /// Run `f` with a leased connection (stale pooled sockets are
-    /// transparently replaced by one fresh dial).
-    pub fn with_conn<R>(
-        &self,
-        mut f: impl FnMut(&mut Conn) -> Result<R, NetError>,
-    ) -> Result<R, NetError> {
-        self.inner
-            .with_conn_at(self.inner.current_endpoint(), &mut f)
-    }
-
-    /// Attested `pk_tx` fetch with per-endpoint caching.
-    pub fn pk_tx_attested(
-        &self,
-        attestation_root: &VerifyingKey,
-        expected_mrenclave: &[u8; 32],
-        min_svn: u16,
-    ) -> Result<[u8; 32], NetError> {
-        let addr = self.inner.current_endpoint();
-        if let Some(pk) = self
-            .inner
-            .attested_pk
-            .lock()
-            .expect("pk cache lock")
-            .get(&addr)
-        {
-            return Ok(*pk);
-        }
-        let pk = self.inner.with_conn_at(addr, &mut |c: &mut Conn| {
-            c.fetch_pk_tx_attested(attestation_root, expected_mrenclave, min_svn)
-        })?;
-        self.inner
-            .attested_pk
-            .lock()
-            .expect("pk cache lock")
-            .insert(addr, pk);
-        Ok(pk)
-    }
-
-    /// Submit a sealed transaction through the pool and wait for commit.
-    pub fn submit_wait(&self, tx: &WireTx) -> Result<(bool, Vec<u8>), NetError> {
-        self.with_conn(|c| c.submit_wait(tx))
-    }
-
-    /// Fire-and-forget submit through the pool.
-    pub fn submit(&self, tx: &WireTx) -> Result<[u8; 32], NetError> {
-        self.with_conn(|c| c.submit(tx))
-    }
-
-    /// Receipt lookup through the pool.
-    pub fn get_receipt(&self, tx_hash: &[u8; 32]) -> Result<Option<Vec<u8>>, NetError> {
-        self.with_conn(|c| c.get_receipt(tx_hash))
-    }
-
-    /// [`Gateway::submit_wait`] with retries on transient failures,
-    /// backing off per `policy`.
-    pub fn submit_with_retry(
-        &self,
-        tx: &WireTx,
-        policy: &RetryPolicy,
-    ) -> Result<(bool, Vec<u8>), NetError> {
-        self.inner.submit_with_retry_net(tx, policy)
     }
 }

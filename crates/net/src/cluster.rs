@@ -10,11 +10,12 @@
 //!   (current view/leader for `NotPrimary` redirects, view-change and
 //!   state-sync totals for [`crate::frame::NodeStatus`]).
 //! * the **cluster driver** ([`cluster_loop`]) — the thread that replaces
-//!   the single-node batcher when [`crate::server::ServerConfig::cluster`]
-//!   is set. It owns the replica state machine, batches client jobs into
-//!   proposals when it is the leader, executes committed blocks through
-//!   the same `execute_block_parallel` + WAL-fsync path the batcher uses,
-//!   and runs the StateSync client when it falls behind.
+//!   the single-node block pipeline when
+//!   [`crate::server::ServerConfig::cluster`] is set. It owns the replica
+//!   state machine, batches client jobs into proposals when it is the
+//!   leader, executes committed blocks through `execute_block_parallel`
+//!   and fsyncs their WAL records, and runs the StateSync client when it
+//!   falls behind.
 //!
 //! ## Attested mesh
 //!
@@ -248,16 +249,6 @@ impl ClusterShared {
     }
 }
 
-/// Per-connection cluster context handed to the legacy runtime's
-/// `handle_connection` (the reactor path routes through
-/// `pipeline::WorkerCtx` instead).
-#[cfg(feature = "legacy-threaded")]
-#[derive(Clone)]
-pub(crate) struct ClusterCtx {
-    pub shared: Arc<ClusterShared>,
-    pub peer_tx: mpsc::Sender<SignedPeerMsg>,
-}
-
 /// Outbound half of the peer mesh: one sender thread per peer, each
 /// owning its socket, re-dialling (with the attestation handshake) on
 /// failure. Sends never block the driver; a full queue drops.
@@ -408,9 +399,9 @@ fn peer_sender_loop(
     }
 }
 
-/// The cluster driver thread: replaces `batcher_loop` when the server is
-/// in cluster mode. Owns the replica state machine; everything it does is
-/// driven by (a) peer messages, (b) client jobs, (c) the clock.
+/// The cluster driver thread: replaces the block pipeline when the server
+/// is in cluster mode. Owns the replica state machine; everything it does
+/// is driven by (a) peer messages, (b) client jobs, (c) the clock.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn cluster_loop(
     node: Arc<RwLock<ConfideNode>>,
@@ -525,9 +516,9 @@ impl Driver {
                     .map(|_| n.cert_sidecar_bytes().to_vec()),
             )
         };
-        // Durable logs: same contract as the batcher — rewrite the
-        // committed prefix once, then append per block. Setup failures
-        // are fail-stop (typed `Err`), not panics.
+        // Durable logs: same contract as the pipeline's commit stage —
+        // rewrite the committed prefix once, then append per block.
+        // Setup failures are fail-stop (typed `Err`), not panics.
         let durable = |path: &std::path::Path, snapshot: &[u8]| -> Result<_, String> {
             let mut f = std::fs::File::create(path)
                 .map_err(|e| format!("create {}: {e}", path.display()))?;
@@ -774,8 +765,7 @@ impl Driver {
             if let Some((sealed, receipt)) = committed {
                 self.stats.deduped.fetch_add(1, Ordering::Relaxed);
                 self.release(&job.wire_hash);
-                job.reply
-                    .send(Message::Committed { sealed, receipt }, &self.stats);
+                job.reply.send(Message::Committed { sealed, receipt });
                 continue;
             }
             if self.first_pending_at.is_none() {
@@ -1027,19 +1017,16 @@ impl Driver {
         };
         for (hash, reply) in replies {
             if let Some(job) = self.awaiting.remove(&hash) {
-                job.reply.send(reply, &self.stats);
+                job.reply.send(reply);
             }
         }
     }
 
     fn redirect(&mut self, job: Job) {
         self.release(&job.wire_hash);
-        job.reply.send(
-            Message::NotPrimary {
-                leader: self.shared.leader_addr(),
-            },
-            &self.stats,
-        );
+        job.reply.send(Message::NotPrimary {
+            leader: self.shared.leader_addr(),
+        });
     }
 
     fn release(&self, wire_hash: &[u8; 32]) {

@@ -22,8 +22,7 @@
 //!   [`client::Client`]: a pooled, retrying, redirect-chasing handle
 //!   configured by [`client::ClientConfig`] that seals envelopes through
 //!   the *same* [`confide_core::seal_signed_tx`] path as the in-process
-//!   client. (The former `Gateway` and connect-style `Client` remain as
-//!   deprecated forwarders.)
+//!   client.
 //! * [`error`] — the consolidated taxonomy: every public client call
 //!   returns [`error::Error`] with a typed [`error::ErrorKind`] and the
 //!   full `source()` chain preserved.
@@ -58,8 +57,6 @@ mod pipeline;
 mod reactor;
 pub mod server;
 
-#[allow(deprecated)]
-pub use client::Gateway;
 pub use client::{Client, ClientConfig, Conn, NetError, RetryPolicy, RetryStats};
 pub use cluster::{ByzantinePreset, ClusterConfig, ClusterShared};
 pub use error::{Error, ErrorKind};

@@ -21,8 +21,8 @@
 //! *No acked receipt may be lost; no transaction may execute twice.*
 //!
 //! 1. A waiter only hears `Committed` from the **commit stage**, strictly
-//!    after its block's WAL delta was fsync'd as part of a group — same
-//!    durable-commit point as the serial batcher, amortized over
+//!    after its block's WAL delta was fsync'd as part of a group — the
+//!    durable-commit point of one fsync per block, amortized over
 //!    `group` blocks per `fsync`.
 //! 2. The in-flight wire-hash claim of a transaction is held until
 //!    **after** that fsync. A resubmission therefore sees either `Busy`
@@ -293,8 +293,8 @@ fn submit(ctx: &WorkerCtx, conn: ConnToken, seq: u64, tx: WireTx, wait: bool) {
         ReplyTo::Fire
     };
     match &ctx.ingest {
-        // Cluster mode keeps the threaded path's order (dedup → redirect
-        // → claim → validate → enqueue): `cluster_loop` fsyncs inside
+        // Cluster mode checks in the order dedup → redirect → claim →
+        // validate → enqueue: `cluster_loop` fsyncs inside
         // `execute` and releases claims right after, so a committed-index
         // hit here is already durable.
         Ingest::Cluster(job_tx) => {
@@ -364,7 +364,7 @@ fn submit(ctx: &WorkerCtx, conn: ConnToken, seq: u64, tx: WireTx, wait: bool) {
         // Pipeline mode claims FIRST: the commit stage holds claims
         // until after the group fsync, so claim-success ⇒ any twin
         // released ⇒ its fsync completed ⇒ a committed-index hit below
-        // is durable. (Checking committed first — the threaded order —
+        // is durable. (Checking committed first — the cluster order —
         // would open a window where a not-yet-fsync'd commit is acked.)
         Ingest::Ring(ring) => {
             if !claim(&ctx.in_flight, wire_hash) {
@@ -642,14 +642,14 @@ pub(crate) fn commit_loop(
                     for (job, reply) in jobs.into_iter().zip(replies) {
                         index(&job, &reply, &durable);
                         release(&in_flight, &job.wire_hash);
-                        job.reply.send(reply, &stats);
+                        job.reply.send(reply);
                     }
                 }
                 CommitItem::Replies(list) => {
                     for (job, reply) in list {
                         index(&job, &reply, &durable);
                         release(&in_flight, &job.wire_hash);
-                        job.reply.send(reply, &stats);
+                        job.reply.send(reply);
                     }
                 }
             }

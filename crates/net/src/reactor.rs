@@ -247,7 +247,7 @@ impl ReactorHandle {
 pub(crate) struct ReactorConfig {
     pub(crate) max_frame: usize,
     /// Mid-frame stall bound (a partial frame older than this drops the
-    /// connection, exactly like the threaded path's socket timeout).
+    /// connection).
     pub(crate) read_timeout: Duration,
     /// Slow-reader bound: unflushed reply bytes beyond this drop the
     /// connection.
@@ -659,8 +659,7 @@ impl Reactor {
                 }
             }
             // A response kind arriving at the server is protocol abuse:
-            // answer once, then close (same verdict as the threaded
-            // path).
+            // answer once, then close.
             other => Some((
                 Message::Rejected(format!("unexpected message kind {:#04x}", other.kind())),
                 true,

@@ -17,11 +17,6 @@
 //! silently dropped. Cluster mode keeps the same front end but routes
 //! validated submissions into the wire-PBFT driver in [`crate::cluster`]
 //! instead of the local pipeline.
-//!
-//! The previous thread-per-connection front end survives behind the
-//! `legacy-threaded` cargo feature as
-//! `NodeServer::spawn_threaded` — an escape hatch while the reactor
-//! soaks, not a supported configuration.
 
 use crate::error::{Error, ErrorKind as ConfErrorKind};
 use crate::frame::{Message, DEFAULT_MAX_FRAME};
@@ -38,15 +33,12 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-#[cfg(feature = "legacy-threaded")]
-use std::sync::mpsc::SyncSender;
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Server tuning knobs. Construct via [`ServerConfig::builder`] (which
-/// validates) or struct-literal over [`Default`] (legacy style, kept for
-/// in-tree churn and tests).
+/// validates) or struct-literal over [`Default`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Maximum transactions per block.
@@ -61,16 +53,8 @@ pub struct ServerConfig {
     /// longer than this is dropped (idle connections between frames are
     /// free under the reactor and live indefinitely).
     pub read_timeout: Duration,
-    /// Per-connection socket write timeout (legacy threaded path only;
-    /// the reactor bounds writers by `write_buf_limit` instead).
-    pub write_timeout: Duration,
     /// Maximum accepted frame length.
     pub max_frame: usize,
-    /// How long a `SubmitTxWait` waits for its block before reporting a
-    /// timeout to the client (legacy threaded path; the reactor holds no
-    /// per-request thread, so waiters are bounded by the client's own
-    /// patience).
-    pub commit_timeout: Duration,
     /// Worker threads for parallel block execution (§6.2). Blocks commit
     /// with results bit-identical to serial execution regardless of this
     /// value; it only changes wall-clock/makespan. Clamped to ≥ 1.
@@ -121,9 +105,7 @@ impl Default for ServerConfig {
             queue_depth: 1024,
             batch_linger: Duration::from_millis(2),
             read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
             max_frame: DEFAULT_MAX_FRAME,
-            commit_timeout: Duration::from_secs(30),
             exec_threads: 4,
             verify_threads: 2,
             pipeline_depth: 4,
@@ -181,21 +163,9 @@ impl ServerConfigBuilder {
         self.config.read_timeout = v;
         self
     }
-    /// Socket write timeout (legacy-threaded runtime only; the reactor
-    /// uses bounded write buffers instead).
-    pub fn write_timeout(mut self, v: Duration) -> Self {
-        self.config.write_timeout = v;
-        self
-    }
     /// Max accepted frame size in bytes (≥ 64).
     pub fn max_frame(mut self, v: usize) -> Self {
         self.config.max_frame = v;
-        self
-    }
-    /// How long a `SubmitTxWait` caller may wait for its commit
-    /// (legacy-threaded runtime only).
-    pub fn commit_timeout(mut self, v: Duration) -> Self {
-        self.config.commit_timeout = v;
         self
     }
     /// Worker threads for parallel block execution (≥ 1).
@@ -351,10 +321,6 @@ pub struct ServerStats {
 pub(crate) enum ReplyTo {
     /// Fire-and-forget (`SubmitTx`): the client already got `Accepted`.
     Fire,
-    /// Legacy thread-per-connection rendezvous (`SubmitTxWait` with a
-    /// handler thread parked on the channel).
-    #[cfg(feature = "legacy-threaded")]
-    Channel(SyncSender<Message>),
     /// Reactor connection: the reply is posted as an ordered directive.
     Conn {
         handle: ReactorHandle,
@@ -364,17 +330,12 @@ pub(crate) enum ReplyTo {
 }
 
 impl ReplyTo {
-    /// Deliver the commit verdict. Failures (waiter gone, connection
-    /// closed) are counted in [`ServerStats::reply_drops`], never silent.
-    pub(crate) fn send(self, msg: Message, stats: &ServerStats) {
-        match self {
-            ReplyTo::Fire => {}
-            #[cfg(feature = "legacy-threaded")]
-            ReplyTo::Channel(done) => legacy::reply_waiter(&done, msg, stats),
-            ReplyTo::Conn { handle, conn, seq } => {
-                let _ = stats; // drop accounting happens reactor-side
-                handle.reply(conn, seq, msg);
-            }
+    /// Deliver the commit verdict. A reply whose connection has closed
+    /// is counted reactor-side in [`ServerStats::reply_drops`], never
+    /// silent.
+    pub(crate) fn send(self, msg: Message) {
+        if let ReplyTo::Conn { handle, conn, seq } = self {
+            handle.reply(conn, seq, msg);
         }
     }
 }
@@ -660,536 +621,4 @@ pub(crate) fn claim(in_flight: &InFlight, wire_hash: [u8; 32]) -> bool {
 
 pub(crate) fn release(in_flight: &InFlight, wire_hash: &[u8; 32]) {
     in_flight.lock().expect("in-flight lock").remove(wire_hash);
-}
-
-/// The pre-reactor thread-per-connection runtime, kept compiling behind
-/// a feature gate as a rollback escape hatch. `cargo build --features
-/// legacy-threaded` exercises it; nothing in the default build refers to
-/// it.
-#[cfg(feature = "legacy-threaded")]
-mod legacy {
-    use super::*;
-    use crate::frame::{read_frame, write_frame, FrameError};
-    use confide_core::keys::JoinOffer;
-    use std::io::ErrorKind;
-    use std::net::TcpStream;
-    use std::sync::mpsc::{Receiver, RecvTimeoutError, TrySendError};
-    use std::time::Instant;
-
-    impl NodeServer {
-        /// Bind `addr` and serve with the legacy thread-per-connection
-        /// front end and serial batcher (pre-reactor architecture).
-        pub fn spawn_threaded(
-            node: ConfideNode,
-            addr: impl ToSocketAddrs,
-            config: ServerConfig,
-        ) -> std::io::Result<NodeServer> {
-            let listener = TcpListener::bind(addr)?;
-            let local = listener.local_addr()?;
-            let stats = Arc::new(ServerStats::default());
-            let stop = Arc::new(AtomicBool::new(false));
-            let node = Arc::new(RwLock::new(node));
-            let (job_tx, job_rx) = mpsc::sync_channel::<Job>(config.queue_depth);
-            let in_flight: InFlight = Arc::new(Mutex::new(HashSet::new()));
-            let mut threads = Vec::new();
-
-            let cluster_ctx = match config.cluster.clone() {
-                Some(cluster) => {
-                    let shared = Arc::new(crate::cluster::ClusterShared::new(&cluster));
-                    let (peer_tx, peer_rx) = mpsc::channel();
-                    let ctx = crate::cluster::ClusterCtx {
-                        shared: Arc::clone(&shared),
-                        peer_tx,
-                    };
-                    let node = Arc::clone(&node);
-                    let stats = Arc::clone(&stats);
-                    let config = config.clone();
-                    let in_flight = Arc::clone(&in_flight);
-                    let stop = Arc::clone(&stop);
-                    let shared2 = Arc::clone(&shared);
-                    threads.push(
-                        std::thread::Builder::new()
-                            .name("confide-cluster".into())
-                            .spawn(move || {
-                                crate::cluster::cluster_loop(
-                                    node, job_rx, peer_rx, stats, config, cluster, shared2,
-                                    in_flight, stop,
-                                )
-                            })?,
-                    );
-                    Some((ctx, shared))
-                }
-                None => {
-                    let node = Arc::clone(&node);
-                    let stats = Arc::clone(&stats);
-                    let config = config.clone();
-                    let in_flight = Arc::clone(&in_flight);
-                    threads.push(
-                        std::thread::Builder::new()
-                            .name("confide-batcher".into())
-                            .spawn(move || batcher_loop(node, job_rx, stats, config, in_flight))?,
-                    );
-                    None
-                }
-            };
-            let (conn_ctx, shared) = match cluster_ctx {
-                Some((ctx, shared)) => (Some(ctx), Some(shared)),
-                None => (None, None),
-            };
-
-            let accept = {
-                let node = Arc::clone(&node);
-                let stats = Arc::clone(&stats);
-                let stop = Arc::clone(&stop);
-                let config = config.clone();
-                std::thread::Builder::new()
-                    .name("confide-accept".into())
-                    .spawn(move || {
-                        for stream in listener.incoming() {
-                            if stop.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            let Ok(stream) = stream else { continue };
-                            stats.connections.fetch_add(1, Ordering::Relaxed);
-                            let node = Arc::clone(&node);
-                            let stats = Arc::clone(&stats);
-                            let stop = Arc::clone(&stop);
-                            let job_tx = job_tx.clone();
-                            let config = config.clone();
-                            let in_flight = Arc::clone(&in_flight);
-                            let cluster_ctx = conn_ctx.clone();
-                            let _ = std::thread::Builder::new()
-                                .name("confide-conn".into())
-                                .spawn(move || {
-                                    let _ = handle_connection(
-                                        stream,
-                                        node,
-                                        job_tx,
-                                        stats,
-                                        stop,
-                                        config,
-                                        in_flight,
-                                        cluster_ctx,
-                                    );
-                                });
-                        }
-                    })?
-            };
-            threads.push(accept);
-
-            Ok(NodeServer {
-                addr: local,
-                stats,
-                pipe: Arc::new(PipelineStats::default()),
-                stop,
-                reactor: None,
-                threads,
-                node,
-                cluster: shared,
-            })
-        }
-    }
-
-    /// The serial batcher: drain the queue into blocks of at most
-    /// `max_batch` transactions, fsyncing each block's WAL suffix before
-    /// any waiter hears about it.
-    fn batcher_loop(
-        node: Arc<RwLock<ConfideNode>>,
-        jobs: Receiver<Job>,
-        stats: Arc<ServerStats>,
-        config: ServerConfig,
-        in_flight: InFlight,
-    ) {
-        let mut wal_file = config.wal_path.as_ref().map(|path| {
-            let mut f = std::fs::File::create(path).expect("create wal file");
-            let snapshot = node.read().expect("node lock").wal_bytes().to_vec();
-            f.write_all(&snapshot).expect("write wal prefix");
-            f.sync_all().expect("sync wal prefix");
-            (f, snapshot.len())
-        });
-        loop {
-            let first = match jobs.recv() {
-                Ok(job) => job,
-                Err(_) => return,
-            };
-            let mut batch = vec![first];
-            let deadline = Instant::now() + config.batch_linger;
-            while batch.len() < config.max_batch {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    match jobs.try_recv() {
-                        Ok(job) => batch.push(job),
-                        Err(_) => break,
-                    }
-                } else {
-                    match jobs.recv_timeout(left) {
-                        Ok(job) => batch.push(job),
-                        Err(RecvTimeoutError::Timeout) => break,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-            }
-            let mut fresh = Vec::with_capacity(batch.len());
-            {
-                let node = node.read().expect("node lock");
-                for job in batch {
-                    match node.committed_by_wire(&job.wire_hash) {
-                        Some((sealed, receipt)) => {
-                            stats.deduped.fetch_add(1, Ordering::Relaxed);
-                            release(&in_flight, &job.wire_hash);
-                            job.reply
-                                .send(Message::Committed { sealed, receipt }, &stats);
-                        }
-                        None => fresh.push(job),
-                    }
-                }
-            }
-            let batch = fresh;
-            if batch.is_empty() {
-                continue;
-            }
-            let txs: Vec<WireTx> = batch.iter().map(|j| j.tx.clone()).collect();
-            let threads = config.exec_threads.max(1);
-            let result = {
-                let mut node = node.write().expect("node lock");
-                let result = node.execute_block_parallel(&txs, threads);
-                if result.is_ok() {
-                    if let Some((file, flushed)) = wal_file.as_mut() {
-                        let bytes = node.wal_bytes();
-                        file.write_all(&bytes[*flushed..]).expect("append wal");
-                        file.sync_all().expect("sync wal");
-                        *flushed = bytes.len();
-                    }
-                }
-                result
-            };
-            {
-                let mut set = in_flight.lock().expect("in-flight lock");
-                for job in &batch {
-                    set.remove(&job.wire_hash);
-                }
-            }
-            match result {
-                Ok(res) => {
-                    stats.blocks.fetch_add(1, Ordering::Relaxed);
-                    stats
-                        .committed
-                        .fetch_add(res.accepted() as u64, Ordering::Relaxed);
-                    if let Some(limit) = config.crash_after {
-                        if stats.blocks.load(Ordering::Relaxed) >= limit {
-                            eprintln!("confide-batcher: crash-after hook firing at block {limit}");
-                            std::process::exit(101);
-                        }
-                    }
-                    for (job, outcome) in batch.into_iter().zip(&res.outcomes) {
-                        let reply = match outcome {
-                            Ok((receipt, sealed)) => Message::Committed {
-                                sealed: sealed.is_some(),
-                                receipt: sealed.clone().unwrap_or_else(|| receipt.encode()),
-                            },
-                            Err(e) => {
-                                stats.rejected.fetch_add(1, Ordering::Relaxed);
-                                Message::Rejected(e.to_string())
-                            }
-                        };
-                        job.reply.send(reply, &stats);
-                    }
-                }
-                Err(e) => {
-                    let msg = format!("block commit failed: {e}");
-                    for job in batch {
-                        stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        job.reply.send(Message::Rejected(msg.clone()), &stats);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Deliver a commit reply to a `SubmitTxWait` rendezvous.
-    pub(crate) fn reply_waiter(done: &SyncSender<Message>, reply: Message, stats: &ServerStats) {
-        if let Err(e) = done.try_send(reply) {
-            stats.reply_drops.fetch_add(1, Ordering::Relaxed);
-            let cause = match e {
-                TrySendError::Full(_) => "channel full (waiter never drained its slot)",
-                TrySendError::Disconnected(_) => "waiter gone (commit-wait timeout)",
-            };
-            eprintln!("confide-batcher: dropped commit reply: {cause}");
-        }
-    }
-
-    enum ReadOutcome {
-        Frame(Box<Message>),
-        Idle,
-        Closed,
-    }
-
-    fn read_one(stream: &mut TcpStream, max_frame: usize) -> Result<ReadOutcome, FrameError> {
-        match read_frame(stream, max_frame) {
-            Ok(Some(msg)) => Ok(ReadOutcome::Frame(Box::new(msg))),
-            Ok(None) => Ok(ReadOutcome::Closed),
-            Err(FrameError::Io(e))
-                if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
-            {
-                Ok(ReadOutcome::Idle)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    fn not_primary(cluster: &Option<crate::cluster::ClusterCtx>) -> Option<String> {
-        match cluster {
-            Some(ctx) if !ctx.shared.is_leader() => Some(ctx.shared.leader_addr()),
-            _ => None,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn handle_connection(
-        mut stream: TcpStream,
-        node: Arc<RwLock<ConfideNode>>,
-        job_tx: SyncSender<Job>,
-        stats: Arc<ServerStats>,
-        stop: Arc<AtomicBool>,
-        config: ServerConfig,
-        in_flight: InFlight,
-        cluster: Option<crate::cluster::ClusterCtx>,
-    ) -> Result<(), FrameError> {
-        stream.set_read_timeout(Some(config.read_timeout))?;
-        stream.set_write_timeout(Some(config.write_timeout))?;
-        stream.set_nodelay(true)?;
-        let (pk_tx, report, conf_engine) = {
-            let node = node.read().expect("node lock");
-            (
-                node.pk_tx(),
-                node.attestation_report(),
-                Arc::clone(&node.confidential_engine),
-            )
-        };
-        let mut attested = false;
-        loop {
-            if stop.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            let msg = match read_one(&mut stream, config.max_frame)? {
-                ReadOutcome::Frame(msg) => *msg,
-                ReadOutcome::Idle => continue,
-                ReadOutcome::Closed => return Ok(()),
-            };
-            if let Message::Peer(peer_msg) = msg {
-                match &cluster {
-                    Some(ctx) if attested => {
-                        let _ = ctx.peer_tx.send(peer_msg);
-                        continue;
-                    }
-                    _ => {
-                        let _ = write_frame(
-                            &mut stream,
-                            &Message::Rejected(
-                                "peer traffic requires an attested connection".into(),
-                            ),
-                        );
-                        return Err(FrameError::BadKind(crate::frame::K_PEER));
-                    }
-                }
-            }
-            let reply = match msg {
-                Message::Ping => Message::Pong,
-                Message::GetPkTx => Message::PkTxIs(pk_tx),
-                Message::GetAttestation => match &report {
-                    Some(r) => Message::AttestationIs(r.clone()),
-                    None => Message::Rejected("node runs without a TEE".into()),
-                },
-                Message::GetReceipt(hash) => {
-                    let stored = node.read().expect("node lock").stored_receipt(&hash);
-                    match stored {
-                        Some(bytes) => Message::ReceiptIs(bytes),
-                        None => Message::NotFound,
-                    }
-                }
-                Message::SubmitTx(tx) => {
-                    let wire_hash = tx.wire_hash();
-                    let committed = node
-                        .read()
-                        .expect("node lock")
-                        .committed_by_wire(&wire_hash);
-                    if committed.is_some() {
-                        stats.deduped.fetch_add(1, Ordering::Relaxed);
-                        Message::Accepted(wire_hash)
-                    } else if let Some(leader) = not_primary(&cluster) {
-                        Message::NotPrimary { leader }
-                    } else if !claim(&in_flight, wire_hash) {
-                        stats.busy.fetch_add(1, Ordering::Relaxed);
-                        Message::Busy
-                    } else {
-                        match validate(&conf_engine, &tx) {
-                            Err(reason) => {
-                                release(&in_flight, &wire_hash);
-                                stats.rejected.fetch_add(1, Ordering::Relaxed);
-                                Message::Rejected(reason)
-                            }
-                            Ok(()) => match job_tx.try_send(Job {
-                                tx,
-                                wire_hash,
-                                reply: ReplyTo::Fire,
-                            }) {
-                                Ok(()) => {
-                                    stats.accepted.fetch_add(1, Ordering::Relaxed);
-                                    Message::Accepted(wire_hash)
-                                }
-                                Err(TrySendError::Full(_)) => {
-                                    release(&in_flight, &wire_hash);
-                                    stats.busy.fetch_add(1, Ordering::Relaxed);
-                                    Message::Busy
-                                }
-                                Err(TrySendError::Disconnected(_)) => {
-                                    release(&in_flight, &wire_hash);
-                                    Message::Rejected("server shutting down".into())
-                                }
-                            },
-                        }
-                    }
-                }
-                Message::SubmitTxWait(tx) => {
-                    let wire_hash = tx.wire_hash();
-                    let committed = node
-                        .read()
-                        .expect("node lock")
-                        .committed_by_wire(&wire_hash);
-                    if let Some((sealed, receipt)) = committed {
-                        stats.deduped.fetch_add(1, Ordering::Relaxed);
-                        Message::Committed { sealed, receipt }
-                    } else if let Some(leader) = not_primary(&cluster) {
-                        Message::NotPrimary { leader }
-                    } else if !claim(&in_flight, wire_hash) {
-                        stats.busy.fetch_add(1, Ordering::Relaxed);
-                        Message::Busy
-                    } else {
-                        match validate(&conf_engine, &tx) {
-                            Err(reason) => {
-                                release(&in_flight, &wire_hash);
-                                stats.rejected.fetch_add(1, Ordering::Relaxed);
-                                Message::Rejected(reason)
-                            }
-                            Ok(()) => {
-                                let (done_tx, done_rx) = mpsc::sync_channel::<Message>(1);
-                                match job_tx.try_send(Job {
-                                    tx,
-                                    wire_hash,
-                                    reply: ReplyTo::Channel(done_tx),
-                                }) {
-                                    Ok(()) => {
-                                        stats.accepted.fetch_add(1, Ordering::Relaxed);
-                                        match done_rx.recv_timeout(config.commit_timeout) {
-                                            Ok(reply) => reply,
-                                            Err(_) => {
-                                                Message::Rejected("commit wait timed out".into())
-                                            }
-                                        }
-                                    }
-                                    Err(TrySendError::Full(_)) => {
-                                        release(&in_flight, &wire_hash);
-                                        stats.busy.fetch_add(1, Ordering::Relaxed);
-                                        Message::Busy
-                                    }
-                                    Err(TrySendError::Disconnected(_)) => {
-                                        release(&in_flight, &wire_hash);
-                                        Message::Rejected("server shutting down".into())
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                Message::JoinRequest { eph_pk, report } => {
-                    if config.join_roots.is_empty() {
-                        Message::Rejected("wire joins disabled".into())
-                    } else {
-                        let offer = JoinOffer { eph_pk, report };
-                        let seed = config
-                            .join_seed
-                            .wrapping_add(stats.joins.fetch_add(1, Ordering::Relaxed));
-                        let node = node.read().expect("node lock");
-                        let mut approved = None;
-                        let mut last_err = String::from("no join roots configured");
-                        for root in &config.join_roots {
-                            match node.approve_join(
-                                root,
-                                &offer,
-                                config.join_svn,
-                                config.join_min_svn,
-                                seed,
-                            ) {
-                                Ok((blob, member_report)) => {
-                                    approved = Some(Message::JoinApprove {
-                                        blob,
-                                        member_report,
-                                    });
-                                    break;
-                                }
-                                Err(e) => last_err = e.to_string(),
-                            }
-                        }
-                        if approved.is_some() {
-                            attested = true;
-                        }
-                        approved.unwrap_or_else(|| {
-                            Message::Rejected(format!("join refused: {last_err}"))
-                        })
-                    }
-                }
-                Message::GetStatus => {
-                    let (height, state_root) = {
-                        let node = node.read().expect("node lock");
-                        (node.blocks.height(), node.state_root())
-                    };
-                    let status = match &cluster {
-                        Some(ctx) => crate::frame::NodeStatus {
-                            node_id: ctx.shared.node_id,
-                            view: ctx.shared.view.load(Ordering::Relaxed),
-                            leader: ctx.shared.leader.load(Ordering::Relaxed),
-                            height,
-                            state_root,
-                            view_changes: ctx.shared.view_changes.load(Ordering::Relaxed),
-                            sync_blocks: ctx.shared.sync_blocks.load(Ordering::Relaxed),
-                            evidence: ctx.shared.evidence.load(Ordering::Relaxed),
-                        },
-                        None => crate::frame::NodeStatus {
-                            node_id: 0,
-                            view: 0,
-                            leader: 0,
-                            height,
-                            state_root,
-                            view_changes: 0,
-                            sync_blocks: 0,
-                            evidence: 0,
-                        },
-                    };
-                    Message::StatusIs(status)
-                }
-                Message::StateSyncReq {
-                    from,
-                    max,
-                    have_height,
-                } => {
-                    if attested && cluster.is_some() {
-                        crate::cluster::serve_state_sync(&node, from, max, have_height)
-                    } else {
-                        Message::Rejected("state sync requires an attested connection".into())
-                    }
-                }
-                other => {
-                    let _ = write_frame(
-                        &mut stream,
-                        &Message::Rejected(format!(
-                            "unexpected message kind {:#04x}",
-                            other.kind()
-                        )),
-                    );
-                    return Err(FrameError::BadKind(other.kind()));
-                }
-            };
-            write_frame(&mut stream, &reply)?;
-        }
-    }
 }

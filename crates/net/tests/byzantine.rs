@@ -44,7 +44,6 @@ fn spawn_member(
     let config = ServerConfig::builder()
         .batch_linger(Duration::from_millis(2))
         .read_timeout(Duration::from_millis(200))
-        .commit_timeout(Duration::from_secs(20))
         .join_roots(cluster.peer_roots.clone())
         .cluster(cluster)
         .build()

@@ -26,13 +26,12 @@ fn temp_path(name: &str) -> PathBuf {
 }
 
 /// A server config tuned for chaos tests: tiny linger (1 tx ≈ 1 block
-/// for a sequential client), short read timeout so orphaned handler
-/// threads exit quickly after shutdown.
+/// for a sequential client), short read timeout so connections stalled
+/// mid-frame by the fault proxy are reaped quickly.
 fn chaos_config(wal: Option<PathBuf>) -> ServerConfig {
     ServerConfig {
         batch_linger: Duration::from_millis(1),
         read_timeout: Duration::from_millis(200),
-        commit_timeout: Duration::from_secs(10),
         wal_path: wal,
         ..ServerConfig::default()
     }
@@ -422,8 +421,8 @@ fn wire_rejoin_is_refused_without_registered_roots_or_at_stale_svn() {
 #[test]
 fn in_flight_duplicate_is_turned_away_busy_not_executed_twice() {
     let seed = 41;
-    // A server whose batcher lingers long enough that the first copy is
-    // still in flight when the duplicate arrives.
+    // A server whose execute stage lingers long enough that the first
+    // copy is still in flight when the duplicate arrives.
     let mut config = chaos_config(None);
     config.batch_linger = Duration::from_millis(300);
     let server = NodeServer::spawn(

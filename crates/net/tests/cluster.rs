@@ -38,7 +38,6 @@ fn spawn_member(seed: u64, peers: &[String], id: u32, bind: &str) -> NodeServer 
     let config = ServerConfig::builder()
         .batch_linger(Duration::from_millis(2))
         .read_timeout(Duration::from_millis(200))
-        .commit_timeout(Duration::from_secs(20))
         .join_roots(cluster.peer_roots.clone())
         .cluster(cluster)
         .build()

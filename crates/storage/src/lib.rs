@@ -5,10 +5,9 @@
 //! (§2.4); this crate is the KV store + block store the rest of the
 //! workspace plugs into.
 //!
-//! * [`kv`] — the ordered KV abstraction, an in-memory implementation, and
-//!   write batches; [`kvlog`] — a write-ahead-log-backed alternative with
-//!   CRC framing, crash-consistent recovery and compaction (the "choose
-//!   your own KV store" modularity seam of §2.4).
+//! * [`kv`] — the ordered KV abstraction (the "choose your own KV store"
+//!   modularity seam of §2.4), an in-memory implementation, and write
+//!   batches.
 //! * [`merkle`] — a binary Merkle tree over sorted key/value pairs; its
 //!   root is the state commitment consensus agrees on, and its proofs back
 //!   the "consensus read (e.g. SPV)" escape hatch of §3.3.
@@ -26,7 +25,6 @@
 
 pub mod blockstore;
 pub mod kv;
-pub mod kvlog;
 pub mod merkle;
 pub mod versioned;
 pub mod wal;
@@ -34,7 +32,6 @@ pub mod walfile;
 
 pub use blockstore::{Block, BlockHeader, BlockStore, BlockStoreError};
 pub use kv::{KvStore, MemKv, WriteBatch};
-pub use kvlog::LogKv;
 pub use merkle::{MerkleProof, MerkleTree};
 pub use versioned::{StateDb, StateError};
 pub use wal::{BlockWal, CertLog, CertRecovery, WalBlock, WalRecovery};

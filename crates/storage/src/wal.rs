@@ -1,10 +1,11 @@
 //! Block-framed write-ahead log: the durable-commit seam of the node.
 //!
-//! [`crate::kvlog`] gives record-level torn-tail recovery; a node needs
-//! *block*-level atomicity — a crash mid-commit must roll the whole block
-//! back, never replay half of its state mutations. This module frames one
-//! committed block as a record group over the same CRC'd record format
-//! kvlog uses:
+//! Every record is framed as `op, key-len, key, value-len, value, crc`
+//! (lengths u32le, CRC-32 over everything before it), so a torn or
+//! corrupt record is detected on its own. A node needs *block*-level
+//! atomicity on top — a crash mid-commit must roll the whole block back,
+//! never replay half of its state mutations — so one committed block is
+//! framed as a record group:
 //!
 //! ```text
 //! HEADER(height → encoded header)
@@ -22,7 +23,6 @@
 
 use crate::blockstore::BlockHeader;
 use crate::kv::WriteBatch;
-use crate::kvlog::{append_record, read_record};
 
 const OP_HEADER: u8 = 0x10;
 const OP_TX: u8 = 0x11;
@@ -30,6 +30,59 @@ const OP_PUT: u8 = 0x12;
 const OP_DEL: u8 = 0x13;
 const OP_CERT: u8 = 0x1E;
 const OP_COMMIT: u8 = 0x1F;
+
+/// CRC-32 (IEEE 802.3, bitwise — plenty for framing integrity).
+fn crc32(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            let mask = 0u32.wrapping_sub(crc & 1);
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    !crc
+}
+
+/// Frame one `(op, key, value)` record onto `log`.
+fn append_record(log: &mut Vec<u8>, op: u8, key: &[u8], value: &[u8]) {
+    let start = log.len();
+    log.push(op);
+    log.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    log.extend_from_slice(key);
+    log.extend_from_slice(&(value.len() as u32).to_le_bytes());
+    log.extend_from_slice(value);
+    let crc = crc32(&log[start..]);
+    log.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Parse one record at `pos`: `(op, key, value, next_pos)`, or `None` on
+/// truncation or CRC mismatch.
+fn read_record(log: &[u8], pos: usize) -> Option<(u8, &[u8], &[u8], usize)> {
+    let op = *log.get(pos)?;
+    let mut cursor = pos + 1;
+    let take = |cursor: &mut usize, n: usize| -> Option<&[u8]> {
+        let s = log.get(*cursor..*cursor + n)?;
+        *cursor += n;
+        Some(s)
+    };
+    let klen = u32::from_le_bytes(take(&mut cursor, 4)?.try_into().ok()?) as usize;
+    let key_start = cursor;
+    take(&mut cursor, klen)?;
+    let vlen = u32::from_le_bytes(take(&mut cursor, 4)?.try_into().ok()?) as usize;
+    let value_start = cursor;
+    take(&mut cursor, vlen)?;
+    let stored_crc = u32::from_le_bytes(take(&mut cursor, 4)?.try_into().ok()?);
+    if crc32(&log[pos..cursor - 4]) != stored_crc {
+        return None;
+    }
+    Some((
+        op,
+        &log[key_start..key_start + klen],
+        &log[value_start..value_start + vlen],
+        cursor,
+    ))
+}
 
 /// One fully committed block recovered from the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -377,8 +430,8 @@ mod tests {
         let mut wal = sample_wal(1);
         // Start a second group by hand, no commit marker.
         let h = header(2);
-        crate::kvlog::append_record(&mut wal.log, OP_HEADER, &2u64.to_le_bytes(), &h.encode());
-        crate::kvlog::append_record(&mut wal.log, OP_PUT, b"half", b"done");
+        append_record(&mut wal.log, OP_HEADER, &2u64.to_le_bytes(), &h.encode());
+        append_record(&mut wal.log, OP_PUT, b"half", b"done");
         let rec = BlockWal::recover(wal.bytes());
         assert_eq!(rec.blocks.len(), 1);
         assert!(rec.torn_bytes > 0);
@@ -425,7 +478,7 @@ mod tests {
         // Walk the record stream to find each record's op and extent.
         let mut records = Vec::new();
         let mut pos = 0usize;
-        while let Some((op, _, _, next)) = crate::kvlog::read_record(wal.bytes(), pos) {
+        while let Some((op, _, _, next)) = read_record(wal.bytes(), pos) {
             records.push((op, pos, next));
             pos = next;
         }
@@ -482,6 +535,12 @@ mod tests {
             assert_eq!(cut.blocks.len(), i + 1);
             assert_eq!(cut.torn_bytes, 0);
         }
+    }
+
+    #[test]
+    fn crc32_known_value() {
+        // CRC-32("123456789") = 0xCBF43926 — the classic check value.
+        assert_eq!(crc32(b"123456789"), 0xCBF43926);
     }
 
     #[test]

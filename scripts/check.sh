@@ -19,11 +19,6 @@ cargo fmt --all --check
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== legacy-threaded escape hatch still builds =="
-# The pre-reactor thread-per-connection runtime stays available behind a
-# feature gate; a refactor must not silently rot it.
-cargo build -q -p confide-net --features legacy-threaded
-
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
