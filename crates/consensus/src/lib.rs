@@ -1,12 +1,13 @@
 //! Wire-level PBFT replication for the CONFIDE consortium (§2.2, Fig. 11).
 //!
-//! The discrete-event simulator in `crates/chain` models the fault-free
-//! three-phase protocol; this crate promotes the same ordering rules onto a
-//! real transport. It is deliberately transport-agnostic: [`Replica`] is a
-//! pure state machine that consumes [`PeerMsg`]s and emits [`Action`]s, and
-//! the networking layer (`crates/net`) owns sockets, attestation, and
-//! execution. That split keeps every consensus rule unit-testable with an
-//! in-memory bus, and keeps the enclave boundary where the paper puts it:
+//! The one ordering core of the system. It is deliberately
+//! transport-agnostic: [`Replica`] is a pure state machine that consumes
+//! [`PeerMsg`]s and emits [`Action`]s. The networking layer (`crates/net`)
+//! owns sockets, attestation, and execution on the wire; the
+//! discrete-event simulator in `crates/chain` drives the same replicas on
+//! a simulated clock for the figures. That split keeps every consensus
+//! rule unit-testable with an in-memory bus, and keeps the enclave
+//! boundary where the paper puts it:
 //! consensus orders ciphertext envelopes *outside* the TEE, attested
 //! enclaves execute and seal.
 //!
@@ -49,9 +50,6 @@ pub use msg::{block_digest, AuthError, MsgError, PeerMsg, SignedPeerMsg, SuffixE
 pub use replica::{Action, HandleError, ProposeError, Replica, ReplicaConfig};
 
 /// PBFT quorum size for `n` replicas: `2f + 1` with `f = (n - 1) / 3`.
-///
-/// Shared with the discrete-event simulator in `crates/chain` so the wire
-/// protocol and the model can never disagree on what "prepared" means.
 pub fn quorum(n: usize) -> usize {
     let f = n.saturating_sub(1) / 3;
     2 * f + 1

@@ -5,12 +5,12 @@
 //! ([`Replica::handle`]), proposals ([`Replica::propose`]), execution
 //! completions ([`Replica::on_executed`]) and periodic ticks
 //! ([`Replica::on_tick`]) with an externally supplied monotonic timestamp,
-//! and carries out the returned [`Action`]s. This mirrors the event-driven
-//! structure of the simulator in `crates/chain/src/pbft.rs` — same quorum
-//! arithmetic (via [`crate::quorum`]), same strictly in-order execution,
-//! same watermark back-pressure — with the pieces the simulator omits
-//! layered on top: view changes, state-sync detection, and Byzantine
-//! defences (signature verification, equivocation evidence, blacklisting).
+//! and carries out the returned [`Action`]s: strictly in-order execution
+//! under watermark back-pressure, view changes, state-sync detection, and
+//! Byzantine defences (signature verification, equivocation evidence,
+//! blacklisting). It runs in two places: the wire cluster in `crates/net`
+//! and the discrete-event simulator in `crates/chain`, which reproduces the
+//! paper's figures on a simulated clock.
 //!
 //! ## Execute-at-prepared
 //!
@@ -34,7 +34,7 @@
 //! offender, and force a view change if the offender leads. Each `Commit`
 //! quorum additionally assembles a transferable [`QuorumCert`] delivered
 //! with [`Action::CommittedLocal`]. [`Replica::on_msg`] remains the
-//! unauthenticated core for in-memory tests and differential harnesses.
+//! unauthenticated core for in-memory tests and the simulator.
 
 use crate::cert::{sign_vote, vote_bytes, Keyring, QuorumCert};
 use crate::evidence::{equivocation_slot, Evidence};
@@ -54,8 +54,9 @@ pub struct ReplicaConfig {
     pub view_timeout_ms: u64,
     /// Leader heartbeat interval (ms); must be well below the timeout.
     pub heartbeat_ms: u64,
-    /// Max proposals in flight beyond `last_exec` (PBFT watermark), the
-    /// same back-pressure knob as the simulator's `ChainConfig`.
+    /// Max proposals in flight beyond the leader's `last_exec` (PBFT
+    /// watermark); [`Replica::propose`] refuses with
+    /// [`ProposeError::Backpressure`] past it.
     pub max_inflight: u64,
     /// Width of the deterministic per-replica spread added to the view
     /// timeout (ms). Staggered timeouts keep simultaneous leader-death
@@ -318,6 +319,14 @@ impl Replica {
         self.last_exec
     }
 
+    /// Whether `seq` holds its payload and a 2f+1 `Prepare` quorum. False
+    /// once the entry retires at its commit quorum.
+    pub fn is_prepared(&self, seq: u64) -> bool {
+        self.entries
+            .get(&seq)
+            .is_some_and(|e| e.has_payload && e.prepares.len() >= self.quorum())
+    }
+
     /// Number of view installations survived so far.
     pub fn view_changes(&self) -> u64 {
         self.view_changes
@@ -453,8 +462,8 @@ impl Replica {
     }
 
     /// Feed one peer message, trusting `from`. The unauthenticated core of
-    /// [`Replica::handle`]; public for in-memory buses and differential
-    /// tests that bypass signatures.
+    /// [`Replica::handle`]; public for in-memory buses and the simulator,
+    /// which bypass signatures.
     pub fn on_msg(&mut self, from: u32, msg: PeerMsg, now_ms: u64) -> Vec<Action> {
         let mut actions = Vec::new();
         match msg {
@@ -462,23 +471,30 @@ impl Replica {
                 self.handle_preprepare(from, view, seq, txs, now_ms, &mut actions);
             }
             PeerMsg::Prepare {
-                seq, digest, from, ..
+                view,
+                seq,
+                digest,
+                from,
             } => {
                 if seq > self.last_exec {
-                    self.record_prepare(seq, digest, from);
+                    self.record_prepare(view, seq, digest, from);
                     self.check_prepared(seq, &mut actions);
                 }
             }
             PeerMsg::Commit {
+                view,
                 seq,
                 digest,
                 from,
                 root,
                 vote_sig,
-                ..
             } => {
-                self.record_commit(seq, digest, from, root, vote_sig);
-                self.check_committed(seq, &mut actions);
+                // A late vote for a sequence whose entry already retired
+                // (certified, or state-synced past) is moot.
+                if seq > self.last_exec || self.entries.contains_key(&seq) {
+                    self.record_commit(view, seq, digest, from, root, vote_sig);
+                    self.check_committed(seq, &mut actions);
+                }
             }
             PeerMsg::ViewChange {
                 target,
@@ -557,8 +573,10 @@ impl Replica {
             return;
         }
         // A primary never proposes beyond its own execution horizon plus the
-        // watermark, so a sequence far past ours means we are lagging.
-        if seq > self.last_exec + self.cfg.max_inflight {
+        // watermark, so a sequence far past ours means we are lagging —
+        // unless our next block is already prepared: then the leader is
+        // merely one execution ahead and we catch up on our own.
+        if seq > self.last_exec + self.cfg.max_inflight && !self.is_prepared(self.last_exec + 1) {
             actions.push(Action::NeedSync {
                 peer: from,
                 have: self.last_exec,
@@ -605,11 +623,13 @@ impl Replica {
         self.check_prepared(seq, actions);
     }
 
-    fn record_prepare(&mut self, seq: u64, digest: [u8; 32], from: u32) {
+    fn record_prepare(&mut self, view: u64, seq: u64, digest: [u8; 32], from: u32) {
+        // A placeholder takes the vote's view, so a vote that outruns the
+        // `NewView` installing its view survives that `NewView`.
         let entry = self
             .entries
             .entry(seq)
-            .or_insert_with(|| Entry::fresh(self.view, digest, Vec::new(), false));
+            .or_insert_with(|| Entry::fresh(view, digest, Vec::new(), false));
         // Votes only count toward the digest we hold; a placeholder adopts
         // the first digest it hears about. A poisoned placeholder cannot
         // stick: the PrePrepare payload replaces it and discards
@@ -621,6 +641,7 @@ impl Replica {
 
     fn record_commit(
         &mut self,
+        view: u64,
         seq: u64,
         digest: [u8; 32],
         from: u32,
@@ -630,7 +651,7 @@ impl Replica {
         let entry = self
             .entries
             .entry(seq)
-            .or_insert_with(|| Entry::fresh(self.view, digest, Vec::new(), false));
+            .or_insert_with(|| Entry::fresh(view, digest, Vec::new(), false));
         if entry.digest == digest {
             entry
                 .commit_votes
@@ -747,12 +768,7 @@ impl Replica {
         }
         // If the next block is already prepared locally we will catch up on
         // our own; sync only when the pipeline is actually missing data.
-        let next_inflight = self
-            .entries
-            .get(&(self.last_exec + 1))
-            .map(|e| e.has_payload && e.prepares.len() >= self.quorum())
-            .unwrap_or(false);
-        if !next_inflight {
+        if !self.is_prepared(self.last_exec + 1) {
             actions.push(Action::NeedSync {
                 peer,
                 have: self.last_exec,
@@ -980,10 +996,12 @@ impl Replica {
                 have: self.last_exec,
             });
         }
-        // Entries the new leader did not re-propose are dead.
+        // Entries of earlier views that the new leader did not re-propose
+        // are dead. Votes already cast in this view are not: peers that
+        // processed the `NewView` first never send them again.
         let kept: BTreeSet<u64> = repropose.iter().map(|(s, _)| *s).collect();
         self.entries
-            .retain(|s, _| *s <= self.last_exec || kept.contains(s));
+            .retain(|s, e| *s <= self.last_exec || kept.contains(s) || e.view >= view);
         for (seq, txs) in repropose {
             self.handle_preprepare(from, view, seq, txs, now_ms, actions);
         }
@@ -1234,6 +1252,27 @@ mod tests {
         (0..n).map(|i| vec![tag, i as u8, 0xCF]).collect()
     }
 
+    /// Replicas for tests that deliver every message by hand.
+    fn replicas(n: usize) -> Vec<Replica> {
+        (0..n as u32)
+            .map(|i| {
+                let ring = Keyring::deterministic(SEED, i, n);
+                Replica::new(ReplicaConfig::localhost(i, n), ring, 0)
+            })
+            .collect()
+    }
+
+    /// The first message `actions` broadcasts.
+    fn broadcast(actions: Vec<Action>) -> PeerMsg {
+        actions
+            .into_iter()
+            .find_map(|a| match a {
+                Action::Broadcast(m) => Some(m),
+                _ => None,
+            })
+            .expect("a broadcast")
+    }
+
     #[test]
     fn four_replicas_commit_in_order() {
         let mut bus = Bus::new(4);
@@ -1245,6 +1284,22 @@ mod tests {
         for r in &bus.replicas {
             assert_eq!(r.last_exec(), 3);
             assert_eq!(r.view(), 0);
+        }
+    }
+
+    #[test]
+    fn late_commit_votes_leave_no_entries_behind() {
+        // Each block certifies at 2f+1 = 3 votes; the fourth arrives after
+        // its entry retired and must not resurrect it as a placeholder,
+        // or the entry map grows with the chain.
+        let mut bus = Bus::new(4);
+        for b in 0..3 {
+            bus.propose(0, block(b, 2)).unwrap();
+            bus.pump(false);
+        }
+        bus.assert_converged(3);
+        for r in &bus.replicas {
+            assert!(r.entries.is_empty(), "leftover entries: {:?}", r.entries);
         }
     }
 
@@ -1393,6 +1448,69 @@ mod tests {
         bus.pump(false);
         assert_eq!(bus.executed[3], vec![(3, block_digest(3, &block(3, 2)))]);
         assert_eq!(bus.committed[3], vec![3]);
+    }
+
+    #[test]
+    fn follower_one_execution_behind_is_not_told_to_sync() {
+        // Replicas driven by hand so follower 1 can hold seq 1 prepared but
+        // still executing while the leader runs a full window ahead.
+        let mut rs = replicas(4);
+        let pp1 = broadcast(rs[0].propose(block(1, 1), 0).unwrap());
+        let prep1 = broadcast(rs[1].on_msg(0, pp1.clone(), 0));
+        let prep2 = broadcast(rs[2].on_msg(0, pp1, 0));
+        rs[0].on_msg(1, prep1, 0);
+        let exec = rs[0].on_msg(2, prep2.clone(), 0);
+        let Some(Action::Execute { digest, .. }) = exec.last() else {
+            panic!("leader did not execute seq 1: {exec:?}");
+        };
+        rs[0].on_executed(1, *digest, 0);
+        // Follower 1 reaches the prepare quorum and starts executing seq 1.
+        let exec = rs[1].on_msg(2, prep2, 0);
+        assert!(matches!(exec.last(), Some(Action::Execute { seq: 1, .. })));
+
+        // The leader legally proposes up to last_exec + max_inflight.
+        let window = ReplicaConfig::localhost(0, 4).max_inflight;
+        let mut edge = None;
+        for b in 2..=1 + window {
+            edge = Some(broadcast(rs[0].propose(block(b as u8, 1), 0).unwrap()));
+        }
+        let edge = edge.unwrap();
+        let need_sync = |a: &Action| matches!(a, Action::NeedSync { .. });
+        let behind = rs[1].on_msg(0, edge.clone(), 0);
+        assert!(!behind.iter().any(need_sync), "spurious sync: {behind:?}");
+        // A follower holding nothing at all is genuinely lagging.
+        let empty = rs[3].on_msg(0, edge, 0);
+        assert!(empty.iter().any(need_sync), "missed lag: {empty:?}");
+    }
+
+    #[test]
+    fn vote_that_outruns_its_new_view_still_counts() {
+        // Member 3 hears member 2's Prepare for view 1's first block before
+        // the NewView installing view 1. Member 2 never sends that vote
+        // again, so the NewView must not discard it.
+        let mut rs = replicas(4);
+        let now = 10_000; // past every view timeout: member 0 is silent
+        let votes: Vec<PeerMsg> = (1..4).map(|i| broadcast(rs[i].on_tick(now))).collect();
+        rs[1].on_msg(2, votes[1].clone(), now);
+        let new_view = rs[1]
+            .on_msg(3, votes[2].clone(), now)
+            .into_iter()
+            .find_map(|a| match a {
+                Action::Broadcast(m @ PeerMsg::NewView { .. }) => Some(m),
+                _ => None,
+            })
+            .expect("member 1 installs view 1");
+        let pp = broadcast(rs[1].propose(block(1, 2), now).unwrap());
+        rs[2].on_msg(1, new_view.clone(), now);
+        let prepare = broadcast(rs[2].on_msg(1, pp.clone(), now));
+
+        rs[3].on_msg(2, prepare, now);
+        rs[3].on_msg(1, new_view, now);
+        let actions = rs[3].on_msg(1, pp, now);
+        assert!(
+            matches!(actions.last(), Some(Action::Execute { seq: 1, .. })),
+            "member 3 lost member 2's early vote: {actions:?}"
+        );
     }
 
     #[test]

@@ -36,6 +36,20 @@ echo "== mixed-engine (VM+EVM) determinism gate =="
 cargo test -q -p confide-core mixed_vm_evm_block_takes_occ_fallback_with_identical_roots
 cargo test -q -p confide-net --test e2e evm_and_cross_engine_calls_commit_over_the_wire
 
+echo "== figure gate: harness stdout matches results/ =="
+# The figure harnesses are deterministic (seeded DRBGs, virtual clock)
+# and assert their own shape criteria. Each must exit 0 and print exactly
+# its checked-in capture. ablation_tee prints a wall-clock timing line,
+# so it is not gated.
+cargo build -q --release -p confide-bench --bins
+for fig in fig10 fig11 fig12 prod64 table1 ablation_state; do
+    if ! ./target/release/"$fig" | diff -u "results/$fig.txt" -; then
+        echo "FAIL: $fig failed or its output differs from results/$fig.txt" >&2
+        exit 1
+    fi
+done
+echo "ok: six figure harnesses match results/"
+
 echo "== cclc --lint over examples/ccl =="
 CCLC=(cargo run -q -p confide-lang --bin cclc --)
 SCHEMA=examples/ccl/bank.ccle
