@@ -4,7 +4,8 @@
 //! clock) by measuring what this implementation actually costs on the host
 //! machine: crypto primitives, VM dispatch with and without OPT4 fusion and
 //! with/without ahead-of-time verification, code-cache effects, CCLe
-//! field-level vs whole-state encryption, and end-to-end engine execution.
+//! field-level vs whole-state encryption, end-to-end engine execution, and
+//! the per-block cost of the state root at growing state sizes.
 //!
 //! Uses the hermetic `confide_bench::harness` (criterion-free; see
 //! DESIGN.md) so `cargo bench` works without registry access.
@@ -24,6 +25,7 @@ use confide_crypto::envelope::{Envelope, EnvelopeKeyPair};
 use confide_crypto::gcm::AesGcm;
 use confide_crypto::HmacDrbg;
 use confide_storage::versioned::StateDb;
+use confide_storage::WriteBatch;
 use confide_vm::{ExecConfig, MockHost, Module, Prepared, Vm};
 
 fn bench_crypto() {
@@ -221,10 +223,44 @@ fn bench_engine() {
     g.finish();
 }
 
+/// `apply_block` of one 64-put block (balance overwrites of pseudo-random
+/// live keys) against a state of 10k, 100k and 1M keys. The keys have the
+/// engine's shape: a 32-byte contract address, then the contract's key.
+fn bench_state() {
+    let key = |i: u64| [&[0x42u8; 32][..], format!("bal:acct{i:07}").as_bytes()].concat();
+    let mut g = BenchGroup::new("state");
+    for keys in [10_000u64, 100_000, 1_000_000] {
+        let mut genesis = WriteBatch::new();
+        for i in 0..keys {
+            genesis.put(key(i), i.to_string().into_bytes());
+        }
+        let mut state = StateDb::new();
+        state.apply_block(1, &genesis).unwrap();
+        drop(genesis);
+        // A cheap LCG picks the keys, so the timing is the state's, not a
+        // CSPRNG's.
+        let mut pick = keys;
+        let mut height = 1;
+        g.bench(&format!("apply_block_64_puts/{keys}_keys"), || {
+            height += 1;
+            let mut batch = WriteBatch::new();
+            for _ in 0..64 {
+                pick = pick
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                batch.put(key((pick >> 33) % keys), height.to_string().into_bytes());
+            }
+            state.apply_block(height, black_box(&batch)).unwrap()
+        });
+    }
+    g.finish();
+}
+
 fn main() {
     bench_crypto();
     bench_vms();
     bench_code_cache();
     bench_ccle();
     bench_engine();
+    bench_state();
 }

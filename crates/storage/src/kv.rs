@@ -91,6 +91,24 @@ impl MemKv {
     pub fn iter(&self) -> impl Iterator<Item = (&Vec<u8>, &Vec<u8>)> {
         self.map.iter()
     }
+
+    /// True when `key` is live.
+    pub(crate) fn contains(&self, key: &[u8]) -> bool {
+        self.map.contains_key(key)
+    }
+
+    /// The live keys just before and just after `key` in key order.
+    pub(crate) fn neighbours(&self, key: &[u8]) -> (Option<&[u8]>, Option<&[u8]>) {
+        let pred = self
+            .map
+            .range::<[u8], _>((Bound::Unbounded, Bound::Excluded(key)))
+            .next_back();
+        let succ = self
+            .map
+            .range::<[u8], _>((Bound::Excluded(key), Bound::Unbounded))
+            .next();
+        (pred.map(|(k, _)| &k[..]), succ.map(|(k, _)| &k[..]))
+    }
 }
 
 impl KvStore for MemKv {

@@ -8,12 +8,16 @@
 //! * [`kv`] — the ordered KV abstraction (the "choose your own KV store"
 //!   modularity seam of §2.4), an in-memory implementation, and write
 //!   batches.
-//! * [`merkle`] — a binary Merkle tree over sorted key/value pairs; its
-//!   root is the state commitment consensus agrees on, and its proofs back
-//!   the "consensus read (e.g. SPV)" escape hatch of §3.3.
-//! * [`versioned`] — versioned state: apply per-block batches, compute
-//!   state roots, and *detect rollbacks* — the stale-state attack a
-//!   malicious host can mount on a TEE (§3.3).
+//! * [`merkle`] — domain-separated leaf and node hashing, inclusion proofs,
+//!   and the binary Merkle tree over a block's transaction hashes.
+//! * `trie` (private) — the incrementally hashed crit-bit Merkle trie over
+//!   the raw state keys; its root is the state commitment consensus agrees
+//!   on, and its proofs back the "consensus read (e.g. SPV)" escape hatch
+//!   of §3.3.
+//! * [`versioned`] — versioned state: apply per-block batches, keep the
+//!   state root current at O(writes · depth) per block, and *detect
+//!   rollbacks* — the stale-state attack a malicious host can mount on a
+//!   TEE (§3.3).
 //! * [`blockstore`] — hash-linked block storage with header validation.
 //! * [`wal`] — the block-framed write-ahead log: one CRC'd record group
 //!   per committed block, terminated by a commit marker, so a torn tail
@@ -26,6 +30,7 @@
 pub mod blockstore;
 pub mod kv;
 pub mod merkle;
+mod trie;
 pub mod versioned;
 pub mod wal;
 pub mod walfile;

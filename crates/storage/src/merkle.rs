@@ -1,35 +1,36 @@
-//! Binary Merkle tree over sorted key/value pairs.
+//! Merkle hashing shared by the state trie and the transaction root.
 //!
-//! The tree's root is the state commitment included in block headers; all
-//! nodes must agree on it after executing a block ("only the transactions
-//! whose results are computed based on the latest states can pass the
-//! consensus phase", §3.3). Inclusion proofs back SPV-style consensus
-//! reads for clients that do not trust a single node.
+//! Leaves and interior nodes hash with domain separation, so a leaf can
+//! never be passed off as an interior node or the reverse. The state trie
+//! (the crate's `trie` module) hashes its nodes with these functions; its
+//! root is the state commitment included in block headers, and all nodes
+//! must agree on it after executing a block ("only the transactions whose
+//! results are computed based on the latest states can pass the consensus
+//! phase", §3.3). [`MerkleProof`] is the inclusion proof that backs SPV-style
+//! consensus reads for clients that do not trust a single node.
+//! [`MerkleTree`] is the plain binary tree over a block's transaction
+//! hashes.
 
+use confide_crypto::sha2::Sha256;
 use confide_crypto::sha256;
 
-/// Domain-separated leaf hash.
-fn leaf_hash(key: &[u8], value: &[u8]) -> [u8; 32] {
-    let mut buf = Vec::with_capacity(1 + 8 + key.len() + value.len());
-    buf.push(0x00);
-    buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    buf.extend_from_slice(key);
-    buf.extend_from_slice(value);
-    sha256(&buf)
+/// Domain-separated leaf hash of one state entry.
+pub(crate) fn leaf_hash(key: &[u8], value: &[u8]) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update(&[0x00]);
+    h.update(&(key.len() as u32).to_le_bytes());
+    h.update(key);
+    h.update(value);
+    h.finalize()
 }
 
 /// Domain-separated interior hash.
-fn node_hash(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
-    let mut buf = Vec::with_capacity(65);
-    buf.push(0x01);
-    buf.extend_from_slice(left);
-    buf.extend_from_slice(right);
-    sha256(&buf)
-}
-
-/// A Merkle tree; retains all levels so proofs are cheap.
-pub struct MerkleTree {
-    levels: Vec<Vec<[u8; 32]>>,
+pub(crate) fn node_hash(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update(&[0x01]);
+    h.update(left);
+    h.update(right);
+    h.finalize()
 }
 
 /// The root of an empty tree.
@@ -37,78 +38,43 @@ pub fn empty_root() -> [u8; 32] {
     sha256(b"confide-empty-state")
 }
 
-impl MerkleTree {
-    /// Build from (key, value) pairs. Pairs must already be sorted by key
-    /// (as an ordered KV store yields them).
-    pub fn build(pairs: &[(Vec<u8>, Vec<u8>)]) -> MerkleTree {
-        let leaves: Vec<[u8; 32]> = pairs.iter().map(|(k, v)| leaf_hash(k, v)).collect();
-        Self::from_leaves(leaves)
-    }
+/// A binary Merkle tree over precomputed leaf hashes (a block's
+/// transaction hashes).
+pub struct MerkleTree {
+    root: [u8; 32],
+}
 
+impl MerkleTree {
     /// Build from precomputed leaf hashes (e.g. transaction hashes).
-    pub fn from_leaves(leaves: Vec<[u8; 32]>) -> MerkleTree {
-        let mut levels = vec![leaves];
-        while levels.last().map(|l| l.len()).unwrap_or(0) > 1 {
-            let prev = levels.last().expect("nonempty");
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            for pair in prev.chunks(2) {
-                match pair {
-                    [a, b] => next.push(node_hash(a, b)),
-                    // Odd node promoted by hashing with itself (bitcoin-style).
-                    [a] => next.push(node_hash(a, a)),
-                    _ => unreachable!(),
-                }
-            }
-            levels.push(next);
+    pub fn from_leaves(mut level: Vec<[u8; 32]>) -> MerkleTree {
+        if level.is_empty() {
+            return MerkleTree { root: empty_root() };
         }
-        MerkleTree { levels }
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|pair| match pair {
+                    [a, b] => node_hash(a, b),
+                    // Odd node promoted by hashing with itself (bitcoin-style).
+                    [a] => node_hash(a, a),
+                    _ => unreachable!(),
+                })
+                .collect();
+        }
+        MerkleTree { root: level[0] }
     }
 
     /// The root hash.
     pub fn root(&self) -> [u8; 32] {
-        match self.levels.last().and_then(|l| l.first()) {
-            Some(r) => *r,
-            None => empty_root(),
-        }
-    }
-
-    /// Number of leaves.
-    pub fn leaf_count(&self) -> usize {
-        self.levels.first().map_or(0, |l| l.len())
-    }
-
-    /// Inclusion proof for leaf `index`.
-    pub fn prove(&self, index: usize) -> Option<MerkleProof> {
-        if index >= self.leaf_count() {
-            return None;
-        }
-        let mut path = Vec::new();
-        let mut idx = index;
-        for level in &self.levels[..self.levels.len().saturating_sub(1)] {
-            let sibling = if idx.is_multiple_of(2) {
-                idx + 1
-            } else {
-                idx - 1
-            };
-            let hash = if sibling < level.len() {
-                level[sibling]
-            } else {
-                level[idx] // odd promotion partner
-            };
-            path.push((hash, idx.is_multiple_of(2)));
-            idx /= 2;
-        }
-        Some(MerkleProof { index, path })
+        self.root
     }
 }
 
-/// An inclusion proof: sibling hashes bottom-up, with "leaf is left child"
-/// flags.
+/// An inclusion proof: sibling hashes bottom-up, with "this node is the
+/// left child" flags.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MerkleProof {
-    /// Leaf index proven.
-    pub index: usize,
-    /// (sibling hash, this-node-is-left) per level.
+    /// (sibling hash, this-node-is-left) per level, leaf first.
     pub path: Vec<([u8; 32], bool)>,
 }
 
@@ -136,85 +102,44 @@ impl MerkleProof {
 mod tests {
     use super::*;
 
-    fn pairs(n: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
-        (0..n)
-            .map(|i| {
-                (
-                    format!("key{i:04}").into_bytes(),
-                    format!("val{i}").into_bytes(),
-                )
-            })
-            .collect()
+    /// The streamed hashes hash exactly the bytes of the documented
+    /// encodings.
+    #[test]
+    fn hashes_match_their_byte_encodings() {
+        let mut leaf = vec![0x00];
+        leaf.extend_from_slice(&3u32.to_le_bytes());
+        leaf.extend_from_slice(b"keyvalue");
+        assert_eq!(leaf_hash(b"key", b"value"), sha256(&leaf));
+        let (a, b) = ([1u8; 32], [2u8; 32]);
+        let node = [&[0x01][..], &a, &b].concat();
+        assert_eq!(node_hash(&a, &b), sha256(&node));
     }
 
     #[test]
-    fn empty_and_single() {
-        let t = MerkleTree::build(&[]);
-        assert_eq!(t.root(), empty_root());
-        let t1 = MerkleTree::build(&pairs(1));
-        assert_ne!(t1.root(), empty_root());
-        assert_eq!(t1.leaf_count(), 1);
+    fn tx_root_shape() {
+        assert_eq!(MerkleTree::from_leaves(Vec::new()).root(), empty_root());
+        let (a, b, c) = ([1u8; 32], [2u8; 32], [3u8; 32]);
+        assert_eq!(MerkleTree::from_leaves(vec![a]).root(), a);
+        assert_eq!(
+            MerkleTree::from_leaves(vec![a, b]).root(),
+            node_hash(&a, &b)
+        );
+        // The odd last node pairs with itself.
+        assert_eq!(
+            MerkleTree::from_leaves(vec![a, b, c]).root(),
+            node_hash(&node_hash(&a, &b), &node_hash(&c, &c))
+        );
     }
 
     #[test]
-    fn root_changes_with_any_value() {
-        let base = MerkleTree::build(&pairs(8)).root();
-        let mut modified = pairs(8);
-        modified[3].1 = b"tampered".to_vec();
-        assert_ne!(MerkleTree::build(&modified).root(), base);
-        // And with any added key.
-        let mut extended = pairs(8);
-        extended.push((b"zzz".to_vec(), b"new".to_vec()));
-        assert_ne!(MerkleTree::build(&extended).root(), base);
-    }
-
-    #[test]
-    fn proofs_verify_for_all_sizes() {
-        for n in [1usize, 2, 3, 5, 8, 13] {
-            let ps = pairs(n);
-            let t = MerkleTree::build(&ps);
-            let root = t.root();
-            for (i, (k, v)) in ps.iter().enumerate() {
-                let proof = t.prove(i).unwrap();
-                assert!(proof.verify(&root, k, v), "n={n} i={i}");
-                // Wrong value fails.
-                assert!(!proof.verify(&root, k, b"wrong"));
-            }
-            assert!(t.prove(n).is_none());
-        }
-    }
-
-    #[test]
-    fn proof_for_wrong_position_fails() {
-        let ps = pairs(6);
-        let t = MerkleTree::build(&ps);
-        let root = t.root();
-        let proof = t.prove(2).unwrap();
-        // Using leaf 3's data with leaf 2's proof must fail.
-        assert!(!proof.verify(&root, &ps[3].0, &ps[3].1));
-    }
-
-    /// Deterministic replacement for the former proptest case: 128 seeded
-    /// (size, seed) combinations covering 1..40 leaves.
-    #[test]
-    fn random_trees_prove_random_leaves() {
-        let mut rng = confide_crypto::HmacDrbg::from_u64(0x6d65726b);
-        for _ in 0..128 {
-            let n = (rng.gen_range(39) + 1) as usize;
-            let seed = rng.gen_u64();
-            let ps: Vec<(Vec<u8>, Vec<u8>)> = (0..n)
-                .map(|i| {
-                    (
-                        format!("k{seed}{i:03}").into_bytes(),
-                        seed.wrapping_mul(i as u64 + 1).to_le_bytes().to_vec(),
-                    )
-                })
-                .collect();
-            let t = MerkleTree::build(&ps);
-            let root = t.root();
-            let idx = (seed as usize) % n;
-            let proof = t.prove(idx).unwrap();
-            assert!(proof.verify(&root, &ps[idx].0, &ps[idx].1));
-        }
+    fn proof_folds_siblings_in_order() {
+        let (leaf, s0, s1) = (leaf_hash(b"k", b"v"), [7u8; 32], [8u8; 32]);
+        let root = node_hash(&s1, &node_hash(&leaf, &s0));
+        let proof = MerkleProof {
+            path: vec![(s0, true), (s1, false)],
+        };
+        assert!(proof.verify(&root, b"k", b"v"));
+        assert!(!proof.verify(&root, b"k", b"w"));
+        assert!(!proof.verify(&root, b"j", b"v"));
     }
 }

@@ -4,11 +4,17 @@
 //! replace the new data with the stale ones". The enclave defends by
 //! tracking the expected state version/root; this module is the storage
 //! side of that defence — per-block batches bump a monotonic version, the
-//! Merkle root commits the full state, and [`StateDb::verify_version`]
-//! detects both stale roots and height mismatches.
+//! root of a crit-bit Merkle trie (the crate's `trie` module) commits the
+//! full state, and [`StateDb::verify_version`] detects both stale roots and
+//! height mismatches.
+//!
+//! The trie is kept beside the KV and updated with every write, so a block
+//! rehashes only the paths it wrote. [`StateDb::verify_version`] does not
+//! trust that cache: it rebuilds the trie from the raw KV.
 
 use crate::kv::{KvStore, MemKv, WriteBatch};
-use crate::merkle::{MerkleProof, MerkleTree};
+use crate::merkle::{empty_root, leaf_hash, MerkleProof};
+use crate::trie::StateTrie;
 
 /// State-layer errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,10 +52,11 @@ impl std::error::Error for StateError {}
 /// Versioned contract-state database.
 pub struct StateDb {
     kv: MemKv,
+    /// The commitment over `kv`, updated write by write.
+    trie: StateTrie,
     height: u64,
-    /// Root history: `roots[h]` = state root after block `h` (index 0 =
-    /// genesis/empty).
-    roots: Vec<[u8; 32]>,
+    /// State root after block `height` (the empty root at genesis).
+    root: [u8; 32],
 }
 
 impl Default for StateDb {
@@ -61,12 +68,11 @@ impl Default for StateDb {
 impl StateDb {
     /// Empty state at height 0.
     pub fn new() -> StateDb {
-        let kv = MemKv::new();
-        let root = MerkleTree::build(&[]).root();
         StateDb {
-            kv,
+            kv: MemKv::new(),
+            trie: StateTrie::default(),
             height: 0,
-            roots: vec![root],
+            root: empty_root(),
         }
     }
 
@@ -92,15 +98,14 @@ impl StateDb {
 
     /// Current state root.
     pub fn root(&self) -> [u8; 32] {
-        *self.roots.last().expect("roots never empty")
+        self.root
     }
 
-    /// Root recorded at `height`, if known.
-    pub fn root_at(&self, height: u64) -> Option<[u8; 32]> {
-        self.roots.get(height as usize).copied()
-    }
-
-    /// Apply block `height`'s write batch; returns the new root.
+    /// Apply block `height`'s write batch; returns the new root. Each op
+    /// goes to the KV and to the trie, so only the written paths rehash.
+    /// A batch larger than the state (a genesis preload) instead rebuilds
+    /// the trie from the sorted KV, hashing each node once; the trie's
+    /// shape depends only on the key set, so the root is the same.
     pub fn apply_block(&mut self, height: u64, batch: &WriteBatch) -> Result<[u8; 32], StateError> {
         if height != self.height + 1 {
             return Err(StateError::BadHeight {
@@ -108,37 +113,50 @@ impl StateDb {
                 expected: self.height + 1,
             });
         }
-        self.kv.apply(batch);
+        if batch.len() > self.kv.len() {
+            self.kv.apply(batch);
+            self.trie = StateTrie::from_sorted(self.kv.iter().map(|(k, v)| (&k[..], &v[..])));
+        } else {
+            for (key, value) in &batch.ops {
+                self.write(key, value.as_deref());
+            }
+        }
         self.height = height;
-        let pairs: Vec<(Vec<u8>, Vec<u8>)> = self
-            .kv
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        let root = MerkleTree::build(&pairs).root();
-        self.roots.push(root);
-        Ok(root)
+        self.root = self.trie.root();
+        Ok(self.root)
     }
 
-    /// Recompute the current root from the raw KV and compare against the
-    /// root committed for `height` — detects a host that rolled the
-    /// database back (or edited it) underneath the enclave.
+    /// One write to the KV and the trie.
+    fn write(&mut self, key: &[u8], value: Option<&[u8]>) {
+        match value {
+            Some(value) => {
+                let leaf = leaf_hash(key, value);
+                if self.kv.contains(key) {
+                    self.trie.update(key, leaf);
+                } else {
+                    let (pred, succ) = self.kv.neighbours(key);
+                    self.trie.insert(key, pred, succ, leaf);
+                }
+                self.kv.put(key, value);
+            }
+            None if self.kv.contains(key) => {
+                self.trie.remove(key);
+                self.kv.delete(key);
+            }
+            None => {}
+        }
+    }
+
+    /// Recompute the root from the raw KV on a fresh trie and compare it
+    /// with the root committed for `height` — detects a host that rolled
+    /// the database back (or edited it) underneath the enclave. The cached
+    /// trie is never trusted here.
     pub fn verify_version(&self, height: u64) -> Result<(), StateError> {
-        let expected = self
-            .roots
-            .get(height as usize)
-            .copied()
-            .ok_or(StateError::RollbackDetected { height })?;
         if height != self.height {
             return Err(StateError::RollbackDetected { height });
         }
-        let pairs: Vec<(Vec<u8>, Vec<u8>)> = self
-            .kv
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        let actual = MerkleTree::build(&pairs).root();
-        if actual != expected {
+        let pairs = self.kv.iter().map(|(k, v)| (&k[..], &v[..]));
+        if StateTrie::from_sorted(pairs).root() != self.root {
             return Err(StateError::RollbackDetected { height });
         }
         Ok(())
@@ -147,17 +165,11 @@ impl StateDb {
     /// Produce a Merkle inclusion proof for `key` against the current
     /// root — the backing for §3.3's "consensus read (e.g. SPV)": a client
     /// fetches the value + proof from one node and checks the root against
-    /// a quorum of other nodes' headers.
+    /// a quorum of other nodes' headers. Walks the cached trie, so it costs
+    /// O(depth).
     pub fn prove(&self, key: &[u8]) -> Option<(Vec<u8>, MerkleProof)> {
-        let pairs: Vec<(Vec<u8>, Vec<u8>)> = self
-            .kv
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        let index = pairs.iter().position(|(k, _)| k.as_slice() == key)?;
-        let tree = MerkleTree::build(&pairs);
-        let proof = tree.prove(index)?;
-        Some((pairs[index].1.clone(), proof))
+        let value = self.kv.get(key)?;
+        Some((value, self.trie.prove(key)?))
     }
 
     /// TEST/ATTACK HELPER: mutate the raw KV *without* version accounting,
@@ -189,7 +201,7 @@ mod tests {
         let r2 = db.apply_block(2, &batch(&[("b", "2")])).unwrap();
         assert_ne!(r1, r2);
         assert_eq!(db.height(), 2);
-        assert_eq!(db.root_at(1), Some(r1));
+        assert_eq!(db.root(), r2);
         db.verify_version(2).unwrap();
     }
 

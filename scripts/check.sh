@@ -36,6 +36,22 @@ echo "== mixed-engine (VM+EVM) determinism gate =="
 cargo test -q -p confide-core mixed_vm_evm_block_takes_occ_fallback_with_identical_roots
 cargo test -q -p confide-net --test e2e evm_and_cross_engine_calls_commit_over_the_wire
 
+echo "== state commitment gate =="
+# The incrementally hashed state trie must root exactly like a
+# from-scratch build after every block, and a 4096-deep chain of
+# nested-prefix keys must apply and root on a 256 KiB stack. Each test is
+# run by exact name and must report one pass, so a filtered or renamed
+# test cannot slip through as "0 passed".
+for t in incremental_root_matches_shuffled_rebuild_after_every_block \
+    deep_nested_prefix_chain_roots_on_a_small_stack; do
+    out=$(cargo test -q -p confide-storage --test state_trie -- --exact "$t")
+    if ! grep -q "1 passed" <<<"$out"; then
+        echo "FAIL: state commitment test $t did not run and pass" >&2
+        exit 1
+    fi
+done
+echo "ok: state trie matches from-scratch builds"
+
 echo "== figure gate: harness stdout matches results/ =="
 # The figure harnesses are deterministic (seeded DRBGs, virtual clock)
 # and assert their own shape criteria. Each must exit 0 and print exactly

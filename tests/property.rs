@@ -285,6 +285,16 @@ fn ccle_round_trips_random_account_maps() {
 
 #[test]
 fn merkle_roots_commit_to_full_state() {
+    use confide::storage::{StateDb, WriteBatch};
+    let state_of = |pairs: &[(Vec<u8>, Vec<u8>)]| {
+        let mut batch = WriteBatch::new();
+        for (k, v) in pairs {
+            batch.put(k.clone(), v.clone());
+        }
+        let mut db = StateDb::new();
+        db.apply_block(1, &batch).unwrap();
+        db
+    };
     let mut meta = HmacDrbg::from_u64(0x6e4c);
     for _ in 0..16 {
         let n = (meta.gen_range(29) + 1) as usize;
@@ -297,19 +307,18 @@ fn merkle_roots_commit_to_full_state() {
         }
         let flip = meta.gen_range(256) as usize;
         let sorted: Vec<(Vec<u8>, Vec<u8>)> = map.into_iter().collect();
-        let tree = confide::storage::merkle::MerkleTree::build(&sorted);
-        let root = tree.root();
+        let db = state_of(&sorted);
+        let root = db.root();
         // Mutating any value changes the root.
         let idx = flip % sorted.len();
         let mut mutated = sorted.clone();
         mutated[idx].1.push(0xff);
-        assert_ne!(
-            confide::storage::merkle::MerkleTree::build(&mutated).root(),
-            root
-        );
+        assert_ne!(state_of(&mutated).root(), root);
         // Proofs verify for every leaf.
-        for (i, (k, v)) in sorted.iter().enumerate() {
-            assert!(tree.prove(i).unwrap().verify(&root, k, v));
+        for (k, v) in &sorted {
+            let (value, proof) = db.prove(k).unwrap();
+            assert_eq!(&value, v);
+            assert!(proof.verify(&root, k, v));
         }
     }
 }
